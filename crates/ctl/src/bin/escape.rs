@@ -35,7 +35,7 @@
 //! With `--faults`, the run drives the simulation through
 //! `run_with_recovery`: scheduled faults are injected in virtual time,
 //! the environment re-routes/re-maps/re-steers around them, and the
-//! deterministic fault/recovery event trace is printed at the end.
+//! deterministic event journal is printed at the end, one line per entry.
 //!
 //! The `metrics` subcommand runs the same deployment (a built-in demo
 //! chain when no files are given), then dumps the telemetry registry —

@@ -28,8 +28,8 @@
 
 use crate::env::{AdmissionConfig, Escape};
 use crate::error::{AdmissionVerdict, EscapeError};
-use crate::journal::{Journal, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
-use escape_domain::{merge_event_logs, ChainPlan, DomainSpec, GlobalOrchestrator, Partition};
+use crate::journal::{self, Journal, JournalEvent, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
+use escape_domain::{ChainPlan, DomainSpec, GlobalOrchestrator, Partition};
 use escape_netem::{LinkState, Time};
 use escape_orch::{MapError, MappingAlgorithm};
 use escape_pox::SteeringMode;
@@ -92,8 +92,6 @@ pub struct MultiDomainEscape {
     ports: HashMap<String, u16>,
     next_port: u16,
     workers: usize,
-    /// Coordinator-level event log: (virtual ns, message).
-    events: Vec<(u64, String)>,
     /// Coordinator-level typed event journal (stitches, escalations,
     /// gateway faults). Per-domain journals live in each [`Escape`];
     /// [`MultiDomainEscape::journal_json_lines`] merges them all.
@@ -162,7 +160,6 @@ impl MultiDomainEscape {
             ports: HashMap::new(),
             next_port: CHAIN_PORT_BASE,
             workers: workers.max(1),
-            events: Vec::new(),
             journal: Journal::new(&registry, DEFAULT_JOURNAL_CAP),
             registry,
             clock: Time::ZERO,
@@ -215,10 +212,6 @@ impl MultiDomainEscape {
         self.plans.get(chain)
     }
 
-    fn note(&mut self, msg: String) {
-        self.events.push((self.clock.as_ns(), msg));
-    }
-
     /// Appends a typed entry to the coordinator journal at the current
     /// coordinator (virtual) time.
     fn journal_event(&mut self, severity: Severity, kind: JournalKind, detail: String) {
@@ -231,28 +224,26 @@ impl MultiDomainEscape {
         &self.journal
     }
 
-    /// Merged, domain-labelled journal as JSON lines: the coordinator's
-    /// entries (`"domain":"global"`) and every domain's, stably ordered
-    /// by virtual timestamp (ties keep global-then-partition-order, the
-    /// same discipline as [`MultiDomainEscape::event_trace`]).
-    /// Byte-identical across same-seed runs and any worker count.
+    /// The coordinator's journal (origin `global`, index 0) and every
+    /// domain's in partition order, merged by (virtual ns, origin index,
+    /// sequence). Byte-identical across same-seed runs and any worker
+    /// count.
+    fn merged_journal(&self) -> Vec<(&str, &JournalEvent)> {
+        let mut origins = vec![("global", &self.journal)];
+        origins.extend(
+            self.parts
+                .iter()
+                .map(|rt| (rt.name.as_str(), rt.esc.journal())),
+        );
+        journal::merge(&origins)
+    }
+
+    /// The merged journal as JSON lines, each entry labelled with its
+    /// origin (`"domain":"global"` for the coordinator).
     pub fn journal_json_lines(&self) -> String {
-        let mut rows: Vec<(u64, String)> = Vec::new();
-        for e in self.journal.entries() {
-            rows.push((e.at_ns, e.json_value().set("domain", "global").to_string()));
-        }
-        for rt in &self.parts {
-            for e in rt.esc.journal().entries() {
-                rows.push((
-                    e.at_ns,
-                    e.json_value().set("domain", rt.name.as_str()).to_string(),
-                ));
-            }
-        }
-        rows.sort_by_key(|(at, _)| *at); // stable: ties keep stream order
         let mut out = String::new();
-        for (_, line) in rows {
-            out.push_str(&line);
+        for (origin, e) in self.merged_journal() {
+            out.push_str(&e.json_value().set("domain", origin).to_string());
             out.push('\n');
         }
         out
@@ -294,10 +285,6 @@ impl MultiDomainEscape {
         if let Some(cfg) = self.admission {
             let utilization = self.cpu_utilization();
             if utilization >= cfg.hard_watermark {
-                self.note(format!(
-                    "admission: rejected (mean utilization {utilization:.2} >= hard {:.2})",
-                    cfg.hard_watermark
-                ));
                 self.journal_event(
                     Severity::Warn,
                     JournalKind::AdmissionRejected,
@@ -321,21 +308,15 @@ impl MultiDomainEscape {
             })?;
             self.deploy_plan(sg, &plan)?;
             self.global.commit(sg, &plan);
-            self.note(format!(
-                "chain {} stitched across {:?} ({} legs, {}us inter-domain)",
-                plan.chain,
-                plan.domain_path,
-                plan.legs.len(),
-                plan.inter_domain_us
-            ));
             self.journal_event(
                 Severity::Info,
                 JournalKind::DeployCommitted,
                 format!(
-                    "chain {} stitched across {:?} ({} legs)",
+                    "chain {} stitched across {:?} ({} legs, {}us inter-domain)",
                     plan.chain,
                     plan.domain_path,
-                    plan.legs.len()
+                    plan.legs.len(),
+                    plan.inter_domain_us
                 ),
             );
             self.plans.insert(plan.chain.clone(), plan);
@@ -426,7 +407,6 @@ impl MultiDomainEscape {
         self.handoffs.retain(|_, h| h.chain != chain);
         self.global.release(chain);
         self.graphs.remove(chain);
-        self.note(format!("chain {chain} torn down"));
         self.journal_event(
             Severity::Info,
             JournalKind::Teardown,
@@ -544,8 +524,11 @@ impl MultiDomainEscape {
         for (di, sap, rx) in arrivals {
             let key = (di, sap.clone(), rx.src, rx.src_port);
             let Some(h) = self.handoffs.get(&key).cloned() else {
-                let src = rx.src;
-                self.note(format!("gateway {sap}: unroutable payload from {src}"));
+                self.journal_event(
+                    Severity::Warn,
+                    JournalKind::GatewayUnroutable,
+                    format!("gateway {sap}: payload from {}", rx.src),
+                );
                 continue;
             };
             let at = (rx.at + EPOCH).max(end);
@@ -581,9 +564,6 @@ impl MultiDomainEscape {
         }
         broken.sort();
         for chain in broken {
-            self.note(format!(
-                "chain {chain}: local recovery exhausted, escalating to global re-stitch"
-            ));
             self.journal_event(
                 Severity::Warn,
                 JournalKind::HealEscalated,
@@ -625,10 +605,6 @@ impl MultiDomainEscape {
             Ok(plan) => {
                 self.global.commit(&sg, &plan);
                 self.registry.counter("domains.restitches").inc();
-                self.note(format!(
-                    "chain {chain} re-stitched across {:?}",
-                    plan.domain_path
-                ));
                 self.journal_event(
                     Severity::Info,
                     JournalKind::ChainRestitched,
@@ -639,7 +615,6 @@ impl MultiDomainEscape {
             Err(e) => {
                 self.registry.counter("domains.restitch_failures").inc();
                 self.graphs.remove(chain);
-                self.note(format!("chain {chain} abandoned: {e}"));
                 self.journal_event(
                     Severity::Error,
                     JournalKind::ChainAbandoned,
@@ -666,10 +641,6 @@ impl MultiDomainEscape {
         self.global.mark_gateway_failed(id);
         self.set_gateway_links(&g.a_domain, &g.a_sap, &g.a_switch, LinkState::Down);
         self.set_gateway_links(&g.b_domain, &g.b_sap, &g.b_switch, LinkState::Down);
-        self.note(format!(
-            "gateway {id} ({}--{}) down",
-            g.a_switch, g.b_switch
-        ));
         self.journal_event(
             Severity::Warn,
             JournalKind::GatewayDown,
@@ -701,10 +672,6 @@ impl MultiDomainEscape {
         self.global.mark_gateway_recovered(id);
         self.set_gateway_links(&g.a_domain, &g.a_sap, &g.a_switch, LinkState::Up);
         self.set_gateway_links(&g.b_domain, &g.b_sap, &g.b_switch, LinkState::Up);
-        self.note(format!(
-            "gateway {id} ({}--{}) restored",
-            g.a_switch, g.b_switch
-        ));
         self.journal_event(
             Severity::Info,
             JournalKind::GatewayRestored,
@@ -754,22 +721,13 @@ impl MultiDomainEscape {
         Snapshot { entries }
     }
 
-    /// Merged, virtual-clock-ordered event trace across the coordinator
-    /// and every domain. Byte-identical across same-seed runs and any
-    /// worker count.
+    /// The merged journal rendered one line per entry, prefixed with its
+    /// origin: `[{origin}] [{ns}ns] {severity} {kind}: {detail}`.
     pub fn event_trace(&self) -> Vec<String> {
-        let mut streams = Vec::with_capacity(self.parts.len() + 1);
-        streams.push((
-            "global".to_string(),
-            self.events
-                .iter()
-                .map(|(ns, m)| format!("[{ns}ns] {m}"))
-                .collect(),
-        ));
-        for rt in &self.parts {
-            streams.push((rt.name.clone(), rt.esc.event_trace().to_vec()));
-        }
-        merge_event_logs(&streams)
+        self.merged_journal()
+            .into_iter()
+            .map(|(origin, e)| format!("[{origin}] {e}"))
+            .collect()
     }
 
     /// Turns on the flight recorder in every domain.

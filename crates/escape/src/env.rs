@@ -263,9 +263,6 @@ pub struct Escape {
     /// Backoff schedule for queued-deploy retries (derived from the
     /// build seed, so same seed ⇒ same retry cadence).
     admission_retry: RetryPolicy,
-    /// Human-readable, virtual-timestamped fault/recovery event log —
-    /// byte-identical across same-seed runs (the determinism witness).
-    events: Vec<String>,
     /// Simulation-wide metric registry, shared by every subsystem.
     telemetry: Registry,
     /// Virtual-time span tracer (chain setup phases).
@@ -391,7 +388,6 @@ impl Escape {
             // Queue retries back off longer than RPC retries: the queue
             // waits for capacity, not for a stalled agent.
             admission_retry: RetryPolicy::new(5_000_000, 80_000_000, 0.25, 8, seed ^ 0xAD31),
-            events: Vec::new(),
             tracer: Tracer::new(telemetry.clone()),
             rpc_latency: telemetry.histogram("netconf.rpc_latency_ns"),
             deploys_ctr: telemetry.counter("escape.deploys"),
@@ -798,7 +794,6 @@ impl Escape {
         }
         for i in malformed_before..self.malformed_seen.len() {
             let (owner, reason) = self.malformed_seen[i].clone();
-            self.note(format!("netconf: malformed reply from {owner}: {reason}"));
             self.journal_event(
                 Severity::Warn,
                 JournalKind::MalformedReply,
@@ -980,10 +975,6 @@ impl Escape {
         let utilization = self.orch.cpu_utilization();
         if utilization >= cfg.hard_watermark {
             self.admission_rejected_ctr.inc();
-            self.note(format!(
-                "admission: rejected (utilization {utilization:.2} >= hard {:.2})",
-                cfg.hard_watermark
-            ));
             self.journal_event(
                 Severity::Warn,
                 JournalKind::AdmissionRejected,
@@ -1000,10 +991,6 @@ impl Escape {
         if utilization >= cfg.soft_watermark {
             if self.admission_queue.len() >= cfg.max_queue {
                 self.admission_rejected_ctr.inc();
-                self.note(format!(
-                    "admission: queue full ({} waiting)",
-                    self.admission_queue.len()
-                ));
                 self.journal_event(
                     Severity::Warn,
                     JournalKind::AdmissionRejected,
@@ -1021,9 +1008,6 @@ impl Escape {
                 next_due,
             });
             self.admission_queued_ctr.inc();
-            self.note(format!(
-                "admission: queued at position {position} (utilization {utilization:.2})"
-            ));
             self.journal_event(
                 Severity::Info,
                 JournalKind::AdmissionQueued,
@@ -1057,14 +1041,21 @@ impl Escape {
             if utilization < cfg.soft_watermark {
                 let q = queue.remove(i);
                 self.admission_admitted_ctr.inc();
-                self.note(format!(
-                    "admission: dequeued after {} retr{} (utilization {utilization:.2})",
-                    q.attempts,
-                    if q.attempts == 1 { "y" } else { "ies" }
-                ));
-                match self.deploy_txn(&q.sg) {
-                    Ok(_) => {}
-                    Err(e) => self.note(format!("admission: dequeued deploy failed: {e}")),
+                self.journal_event(
+                    Severity::Info,
+                    JournalKind::AdmissionDequeued,
+                    format!(
+                        "after {} retr{} (utilization {utilization:.2})",
+                        q.attempts,
+                        if q.attempts == 1 { "y" } else { "ies" }
+                    ),
+                );
+                if let Err(e) = self.deploy_txn(&q.sg) {
+                    self.journal_event(
+                        Severity::Warn,
+                        JournalKind::AdmissionDropped,
+                        format!("dequeued deploy failed: {e}"),
+                    );
                 }
                 continue;
             }
@@ -1074,10 +1065,6 @@ impl Escape {
             if q.attempts >= cfg.max_retries {
                 let q = queue.remove(i);
                 self.admission_rejected_ctr.inc();
-                self.note(format!(
-                    "admission: dropped after {} attempts (utilization {utilization:.2})",
-                    q.attempts
-                ));
                 self.journal_event(
                     Severity::Warn,
                     JournalKind::AdmissionDropped,
@@ -1317,13 +1304,10 @@ impl Escape {
         self.clients.retain(|_, c| c.ready());
         let rollback = RollbackReport { steps };
         self.rollbacks_ctr.inc();
-        self.note(format!(
-            "deploy rolled back in {phase}: {cause} ({rollback})"
-        ));
         self.journal_event(
             Severity::Warn,
             JournalKind::DeployRolledBack,
-            format!("{phase} phase: {cause}"),
+            format!("{phase} phase: {cause} ({rollback})"),
         );
         EscapeError::DeployFailed {
             phase,
@@ -1545,25 +1529,19 @@ impl Escape {
     pub fn load_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), EscapeError> {
         let node = FaultInjector::install(&mut self.sim, plan).map_err(EscapeError::FaultPlan)?;
         self.injectors.push(node);
-        self.note(format!(
-            "fault plan {:?} armed ({} events)",
-            plan.name,
-            plan.events.len()
-        ));
+        self.journal_event(
+            Severity::Info,
+            JournalKind::FaultPlanArmed,
+            format!("plan {:?} ({} events)", plan.name, plan.events.len()),
+        );
         Ok(())
     }
 
-    /// The fault/recovery event log: one line per injected fault and per
-    /// recovery action, stamped with virtual time. Same seed + same plan
-    /// ⇒ byte-identical log (asserted by the chaos harness).
-    pub fn event_trace(&self) -> &[String] {
-        &self.events
-    }
-
-    /// Appends a virtual-timestamped line to the event log.
-    fn note(&mut self, msg: String) {
-        self.events
-            .push(format!("[{}ns] {msg}", self.sim.now().as_ns()));
+    /// The retained journal rendered one line per entry
+    /// (`[{ns}ns] {severity} {kind}: {detail}`). Same seed + same inputs
+    /// ⇒ byte-identical lines (asserted by the chaos harness).
+    pub fn event_trace(&self) -> Vec<String> {
+        self.journal.entries().map(|e| e.to_string()).collect()
     }
 
     /// Advances virtual time by `ms` milliseconds like
@@ -1608,7 +1586,6 @@ impl Escape {
     const LOSS_FAILURE_THRESHOLD: f64 = 0.25;
 
     fn handle_fault(&mut self, rec: FaultRecord) {
-        self.note(format!("fault {} {}", rec.kind.label(), rec.kind.target()));
         self.journal_event(
             Severity::Warn,
             JournalKind::FaultInjected,
@@ -1621,7 +1598,6 @@ impl Escape {
             }
             FaultKind::LinkUp { a, b } | FaultKind::LossClear { a, b } => {
                 if self.orch.mark_link_recovered(&a, &b) {
-                    self.note(format!("link {a}-{b} back in the resource view"));
                     self.journal_event(
                         Severity::Info,
                         JournalKind::LinkRestored,
@@ -1674,7 +1650,6 @@ impl Escape {
             Ok(()) => {
                 self.recoveries_ctr.inc();
                 self.recovery_latency.observe(self.sim.now().since(start));
-                self.note(format!("recovered chain {chain} ({})", action.label()));
                 self.journal_event(
                     Severity::Info,
                     JournalKind::HealRecovered,
@@ -1684,7 +1659,6 @@ impl Escape {
             Err(e) => {
                 self.recovery_failures_ctr.inc();
                 self.abandon_chain(chain);
-                self.note(format!("recovery of chain {chain} failed: {e}"));
                 self.journal_event(
                     Severity::Error,
                     JournalKind::HealFailed,
@@ -1943,9 +1917,6 @@ impl Escape {
             kind,
             format!("chain {chain} vnf {vnf} {from}->{to} ({why})"),
         );
-        self.note(format!(
-            "scale chain {chain} vnf {vnf} {from}->{to} ({why})"
-        ));
         let sp = self.tracer.enter("scale", self.sim.now().as_ns());
         let result = if to > from {
             self.scale_out(txn, &current, to, &req, &sw_in, &sw_out, started_at)
@@ -2250,14 +2221,13 @@ impl Escape {
         }
         let rollback = RollbackReport { steps };
         self.migration_rollbacks_ctr.inc();
-        self.note(format!(
-            "scale of {}/{} rolled back in {phase}: {cause} ({rollback})",
-            txn.chain, txn.vnf
-        ));
         self.journal_event(
             Severity::Warn,
             JournalKind::MigrationRolledBack,
-            format!("chain {} vnf {} in {phase}: {cause}", txn.chain, txn.vnf),
+            format!(
+                "chain {} vnf {} in {phase}: {cause} ({rollback})",
+                txn.chain, txn.vnf
+            ),
         );
         EscapeError::ScaleFailed {
             chain: txn.chain,
@@ -2274,10 +2244,6 @@ impl Escape {
     /// scale retry finishes the job once the agent answers again.
     fn fail_retire(&mut self, txn: &ScaleTxn, cause: EscapeError) -> EscapeError {
         self.migration_rollbacks_ctr.inc();
-        self.note(format!(
-            "scale of {}/{} stalled in retire: {cause}",
-            txn.chain, txn.vnf
-        ));
         self.journal_event(
             Severity::Warn,
             JournalKind::MigrationRolledBack,

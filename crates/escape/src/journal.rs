@@ -1,16 +1,17 @@
 //! Structured event journal: a bounded, severity-tagged ring of typed
 //! operational events stamped on the virtual clock.
 //!
-//! The free-form `Escape::note` trace stays the determinism witness it
-//! always was; the journal runs alongside it with *typed* entries
-//! (kind + severity + detail) so operators and tools can filter and
-//! stream without parsing prose. Like the sampler and the netem packet
+//! The journal is the environment's only event log. Every orchestration,
+//! NETCONF, POX, fault and recovery decision lands here once, as a
+//! *typed* entry (kind + severity + detail), so operators and tools
+//! filter and stream without parsing prose. `event_trace()` is just a
+//! rendering of these entries. Like the sampler and the netem packet
 //! trace, the ring counts its own evictions (`escape.journal_evicted`)
 //! so silent truncation is observable.
 //!
 //! Timestamps come from the simulator's virtual clock, which makes the
-//! journal deterministic: two same-seed runs export byte-identical
-//! JSON-lines documents.
+//! journal the determinism witness: two same-seed runs record identical
+//! entries and export byte-identical JSON-lines documents.
 
 use std::collections::VecDeque;
 
@@ -50,8 +51,13 @@ pub enum JournalKind {
     DeployRolledBack,
     Teardown,
     AdmissionQueued,
+    /// A queued deploy left the queue to be deployed.
+    AdmissionDequeued,
     AdmissionRejected,
+    /// A queued deploy left the queue without a live chain: its retry
+    /// budget ran out, or its deploy failed after dequeue.
     AdmissionDropped,
+    FaultPlanArmed,
     FaultInjected,
     LinkRestored,
     HealRecovered,
@@ -61,6 +67,8 @@ pub enum JournalKind {
     CacheInvalidationStorm,
     GatewayDown,
     GatewayRestored,
+    /// A payload reached an egress gateway with no handoff registered.
+    GatewayUnroutable,
     ChainRestitched,
     ChainAbandoned,
     MalformedReply,
@@ -81,8 +89,10 @@ impl JournalKind {
             JournalKind::DeployRolledBack => "deploy-rolled-back",
             JournalKind::Teardown => "teardown",
             JournalKind::AdmissionQueued => "admission-queued",
+            JournalKind::AdmissionDequeued => "admission-dequeued",
             JournalKind::AdmissionRejected => "admission-rejected",
             JournalKind::AdmissionDropped => "admission-dropped",
+            JournalKind::FaultPlanArmed => "fault-plan-armed",
             JournalKind::FaultInjected => "fault-injected",
             JournalKind::LinkRestored => "link-restored",
             JournalKind::HealRecovered => "heal-recovered",
@@ -92,6 +102,7 @@ impl JournalKind {
             JournalKind::CacheInvalidationStorm => "cache-invalidation-storm",
             JournalKind::GatewayDown => "gateway-down",
             JournalKind::GatewayRestored => "gateway-restored",
+            JournalKind::GatewayUnroutable => "gateway-unroutable",
             JournalKind::ChainRestitched => "chain-restitched",
             JournalKind::ChainAbandoned => "chain-abandoned",
             JournalKind::MalformedReply => "malformed-reply",
@@ -244,6 +255,21 @@ impl Journal {
     }
 }
 
+/// Merges several journals into one stream ordered by (virtual ns,
+/// origin index, sequence). `origins` is `(label, journal)` in a fixed
+/// order, so the result depends only on what each journal holds, never
+/// on how the origins were scheduled across threads.
+pub(crate) fn merge<'a>(origins: &[(&'a str, &'a Journal)]) -> Vec<(&'a str, &'a JournalEvent)> {
+    let mut rows: Vec<(u64, usize, usize, &str, &JournalEvent)> = Vec::new();
+    for (origin, (label, journal)) in origins.iter().enumerate() {
+        for (seq, e) in journal.entries().enumerate() {
+            rows.push((e.at_ns, origin, seq, label, e));
+        }
+    }
+    rows.sort_by_key(|r| (r.0, r.1, r.2));
+    rows.into_iter().map(|r| (r.3, r.4)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,5 +352,76 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("demo"));
+    }
+
+    fn rendered(merged: Vec<(&str, &JournalEvent)>) -> Vec<String> {
+        merged
+            .into_iter()
+            .map(|(origin, e)| format!("[{origin}] {e}"))
+            .collect()
+    }
+
+    #[test]
+    fn merge_orders_by_clock_then_origin() {
+        let r = Registry::new();
+        let (mut g, mut d0, mut d1) = (
+            Journal::new(&r, 8),
+            Journal::new(&r, 8),
+            Journal::new(&r, 8),
+        );
+        g.record(200, Severity::Warn, JournalKind::HealEscalated, "g".into());
+        d0.record(100, Severity::Info, JournalKind::Teardown, "a".into());
+        d0.record(200, Severity::Info, JournalKind::Teardown, "b".into());
+        d1.record(150, Severity::Info, JournalKind::Teardown, "c".into());
+        d1.record(200, Severity::Info, JournalKind::Teardown, "d".into());
+        d1.record(200, Severity::Info, JournalKind::Teardown, "e".into());
+        let merged = merge(&[("global", &g), ("d0", &d0), ("d1", &d1)]);
+        assert_eq!(
+            rendered(merged),
+            vec![
+                "[d0] [100ns] info teardown: a",
+                "[d1] [150ns] info teardown: c",
+                "[global] [200ns] warn heal-escalated: g",
+                "[d0] [200ns] info teardown: b",
+                "[d1] [200ns] info teardown: d",
+                "[d1] [200ns] info teardown: e",
+            ]
+        );
+    }
+
+    #[test]
+    fn merge_is_independent_of_input_interleaving() {
+        // The same per-origin content recorded in a different global
+        // order (as parallel domain workers would) merges identically:
+        // origin order is fixed by the caller, not by timing.
+        let record = |first_d1: bool| {
+            let r = Registry::new();
+            let (mut d0, mut d1) = (Journal::new(&r, 4), Journal::new(&r, 4));
+            for step in 0..2 {
+                let mut both = [(&mut d0, "x"), (&mut d1, "y")];
+                if first_d1 {
+                    both.reverse();
+                }
+                for (j, tag) in both {
+                    j.record(
+                        5,
+                        Severity::Info,
+                        JournalKind::Teardown,
+                        format!("{tag}{step}"),
+                    );
+                }
+            }
+            rendered(merge(&[("d0", &d0), ("d1", &d1)]))
+        };
+        assert_eq!(record(false), record(true));
+        assert_eq!(
+            record(false),
+            vec![
+                "[d0] [5ns] info teardown: x0",
+                "[d0] [5ns] info teardown: x1",
+                "[d1] [5ns] info teardown: y0",
+                "[d1] [5ns] info teardown: y1",
+            ]
+        );
     }
 }

@@ -132,7 +132,8 @@ pub struct SessionStatus {
     pub recovery_failures: u64,
     pub rollbacks: u64,
     pub admission_rejected: u64,
-    /// Lines in the fault/recovery event trace.
+    /// Journal entries recorded so far, evicted ones included
+    /// (the journal's sequence cursor).
     pub events: u64,
     /// True when this session was rebuilt from durable state after a
     /// daemon restart (never set on a fresh build).
@@ -355,7 +356,7 @@ impl Session {
             recovery_failures: m.counter_total("escape.recovery_failures"),
             rollbacks: m.counter_total("escape.rollbacks"),
             admission_rejected: m.counter_total("escape.admission_rejected"),
-            events: self.esc.event_trace().len() as u64,
+            events: self.esc.journal().seq_end(),
             restarted: self.restarted,
             recovered_chains: self.recovered_chains,
             rolled_back_txns: self.rolled_back_txns,
@@ -427,6 +428,43 @@ mod tests {
             s.escape().metrics().prometheus()
         );
         assert!(s.metrics_exposition(true).starts_with('{'));
+    }
+
+    #[test]
+    fn metrics_json_stops_growing_once_the_span_ring_is_full() {
+        use escape_telemetry::SPAN_RING_CAP;
+        let mut s = Session::new(demo_topology(), SessionConfig::default()).unwrap();
+        let cycle = |s: &mut Session| {
+            s.deploy(&demo_sg()).unwrap();
+            s.teardown("demo").unwrap();
+        };
+        // Fill the span ring, then keep cycling: at 4 spans a cycle, the
+        // extra cycles would add about 1,200 span objects without it.
+        let mut filled = 0;
+        while s.escape().tracer().evicted() == 0 {
+            assert!(filled < SPAN_RING_CAP, "the span ring never evicted");
+            cycle(&mut s);
+            filled += 1;
+        }
+        let full = s.metrics_exposition(true);
+        for _ in 0..300 {
+            cycle(&mut s);
+        }
+        let later = s.metrics_exposition(true);
+        for doc in [&full, &later] {
+            let v = Value::parse(doc).unwrap();
+            let spans = v.get("trace").unwrap().get("spans").unwrap();
+            assert_eq!(spans.as_arr().unwrap().len(), SPAN_RING_CAP);
+        }
+        // Only the digits of growing counters and timestamps may add
+        // bytes; 1,200 more span objects would add well over 5%.
+        assert!(
+            later.len() < full.len() + full.len() / 20,
+            "metrics --json grew from {} to {} bytes",
+            full.len(),
+            later.len()
+        );
+        assert!(s.escape().tracer().evicted() >= 1_200);
     }
 
     #[test]

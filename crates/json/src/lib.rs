@@ -132,10 +132,7 @@ impl Value {
     /// [`Value::parse`] with a structured error carrying the byte
     /// offset of the failure.
     pub fn parse_detailed(src: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            src: src.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -286,8 +283,11 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
+/// Recursive-descent parser over valid UTF-8 text. `pos` only ever
+/// advances over ASCII bytes or whole runs ending before one, so it
+/// always sits on a char boundary.
 struct Parser<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -301,14 +301,14 @@ impl Parser<'_> {
 
     fn skip_ws(&mut self) {
         while self.pos < self.src.len()
-            && matches!(self.src[self.pos], b' ' | b'\t' | b'\n' | b'\r')
+            && matches!(self.src.as_bytes()[self.pos], b' ' | b'\t' | b'\n' | b'\r')
         {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
@@ -335,7 +335,7 @@ impl Parser<'_> {
     }
 
     fn keyword(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.src[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -418,6 +418,7 @@ impl Parser<'_> {
                         Some(b'u') => {
                             let hex = self
                                 .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(
@@ -433,12 +434,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.src[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // go. Both are ASCII, so the run ends on a char
+                    // boundary of the already-valid input.
+                    let rest = &self.src[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -470,7 +472,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -501,6 +503,21 @@ impl std::fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_trips_a_mebibyte_string_of_mixed_width_chars() {
+        // ASCII, 2-, 3- and 4-byte scalars, plus characters the writer
+        // escapes, repeated to about 1 MiB. Decoding walks the input
+        // once, so this stays fast.
+        let unit =
+            "chain c1 \u{e9}t\u{e9} \u{4e2d}\u{6587} \u{1f680} \"q\" back\\slash\ttab\u{1}\n";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let doc = Value::obj().set("s", text.as_str()).set("after", 1u64);
+        let back = Value::parse(&doc.to_string()).unwrap();
+        assert_eq!(back.get("s").unwrap().as_str(), Some(text.as_str()));
+        assert_eq!(back.get("after").unwrap().as_u64(), Some(1));
+    }
 
     #[test]
     fn round_trips_structures() {

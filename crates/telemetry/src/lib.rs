@@ -11,8 +11,9 @@
 //! * [`Tracer`] — lightweight spans ([`Tracer::enter`] / [`Tracer::exit`])
 //!   with parent/child nesting. Timestamps are supplied by the caller
 //!   (the netem virtual clock, in nanoseconds), so traces are fully
-//!   deterministic for a fixed seed. Every finished span feeds a
-//!   duration histogram named `span.<name>.duration_ns`.
+//!   deterministic for a fixed seed. Every finished span feeds
+//!   `span.duration_ns{span="<name>"}` and `span.count{span="<name>"}`;
+//!   the records themselves live in a ring of [`SPAN_RING_CAP`].
 //! * Exposition — [`Snapshot`] renders as Prometheus text
 //!   ([`Snapshot::prometheus`]) or JSON ([`Snapshot::to_json`]), and two
 //!   snapshots diff into a [`TelemetryReport`] of what happened between
@@ -30,7 +31,7 @@ pub mod sampler;
 mod span;
 pub use chrome::ChromeEvent;
 pub use sampler::{Sample, Sampler, SamplerConfig};
-pub use span::{SpanHandle, SpanRecord, Tracer};
+pub use span::{SpanHandle, SpanRecord, Tracer, SPAN_RING_CAP};
 
 /// Label set attached to a metric: sorted `(key, value)` pairs.
 pub type Labels = Vec<(String, String)>;
@@ -517,14 +518,19 @@ impl Snapshot {
     }
 
     /// What changed between `self` (earlier) and `later`: counter
-    /// deltas, gauge before/after pairs, and histogram activity.
+    /// deltas, gauge before/after pairs, and histogram activity. A series
+    /// only in `later` counts from zero; one only in `self` is ignored.
+    /// Both snapshots must be sorted by (name, labels), as
+    /// [`Registry::snapshot`] produces them: one merge pass walks them
+    /// together.
     pub fn diff(&self, later: &Snapshot) -> TelemetryReport {
         let mut entries = Vec::new();
+        let mut earlier = self.entries.iter().peekable();
         for e in &later.entries {
-            let before = self
-                .entries
-                .iter()
-                .find(|b| b.name == e.name && b.labels == e.labels)
+            let key = (&e.name, &e.labels);
+            while earlier.next_if(|b| (&b.name, &b.labels) < key).is_some() {}
+            let before = earlier
+                .next_if(|b| (&b.name, &b.labels) == key)
                 .map(|b| &b.value);
             match (&e.value, before) {
                 (MetricValue::Counter(now), before) => {
@@ -885,14 +891,29 @@ mod tests {
         let h = r.histogram_with("lat", &[], &[100]);
         c.add(2);
         g.set(1);
-        let before = r.snapshot();
+        let mut before = r.snapshot();
+        // A series only the earlier snapshot holds (sorted into place):
+        // it is ignored, and it must not knock the walk out of step.
+        before.entries.insert(
+            1,
+            MetricSnapshot {
+                name: "gone".into(),
+                labels: Vec::new(),
+                value: MetricValue::Counter(7),
+            },
+        );
         c.add(3);
         g.set(5);
         h.observe(50);
         h.observe(150);
+        // A series only the later snapshot holds counts from zero.
+        r.counter_with("fresh", &[("k", "v")]).add(4);
         let after = r.snapshot();
         let report = before.diff(&after);
+        assert_eq!(report.entries.len(), 4, "{report}");
         assert_eq!(report.counter_delta("work.done"), 3);
+        assert_eq!(report.counter_delta("fresh"), 4);
+        assert_eq!(report.counter_delta("gone"), 0);
         assert!(report
             .entries
             .iter()

@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q
 
+echo "== perfbench build + self-tests (its own workspace) =="
+# perfbench/ is not a member of the root workspace, so the steps above
+# never compile it; an API change in crates/* must not break it unseen.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== dataplane perf gate (E0 cached pps vs committed BENCH_dataplane.json) =="
 # The bench refreshes the root snapshot; if it was clean going in, put the
 # committed baseline back so the gate never dirties the tree.

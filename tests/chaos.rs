@@ -10,10 +10,11 @@
 //! 2. **Telemetry** — the expected fault and recovery counters moved
 //!    (`faults.injected{kind=…}`, `escape.recoveries`, `orch.remaps` /
 //!    `orch.reroutes`, `pox.steering.resteers`);
-//! 3. **Determinism** — the same seed yields a byte-identical
-//!    fault/recovery event trace across two independent runs.
+//! 3. **Determinism** — the same seed yields a byte-identical event
+//!    journal across two independent runs.
 
 use escape::env::Escape;
+use escape::{JournalEvent, JournalKind};
 use escape_netem::{FaultKind, FaultPlan};
 use escape_orch::GreedyFirstFit;
 use escape_pox::SteeringMode;
@@ -24,7 +25,9 @@ use escape_telemetry::Snapshot;
 /// What one scenario run produced, for assertions and the determinism
 /// comparison.
 struct Outcome {
-    /// The virtual-timestamped fault/recovery event log.
+    /// The event journal, typed, for queries.
+    journal: Vec<JournalEvent>,
+    /// The same journal rendered line by line, for byte comparison.
     trace: Vec<String>,
     /// Frames the destination SAP received from the post-fault burst.
     rx: u64,
@@ -32,16 +35,26 @@ struct Outcome {
     metrics: Snapshot,
 }
 
-/// Virtual timestamp (ns) of the first "recovered chain" event.
-fn recovered_at_ns(trace: &[String]) -> Option<u64> {
-    trace
+impl Outcome {
+    fn collect(esc: &Escape, rx: u64) -> Outcome {
+        // Nothing fell off the journal ring, so the comparisons below
+        // cover the whole run.
+        assert_eq!(esc.journal().evicted(), 0, "journal overflowed");
+        Outcome {
+            journal: esc.journal().entries().cloned().collect(),
+            trace: esc.event_trace(),
+            rx,
+            metrics: esc.metrics(),
+        }
+    }
+}
+
+/// Virtual timestamp (ns) of the first heal-recovered entry for chain c1.
+fn recovered_at_ns(journal: &[JournalEvent]) -> Option<u64> {
+    journal
         .iter()
-        .find(|l| l.contains("recovered chain"))?
-        .strip_prefix('[')?
-        .split("ns]")
-        .next()?
-        .parse()
-        .ok()
+        .find(|e| e.kind == JournalKind::HealRecovered && e.detail.starts_with("chain c1 "))
+        .map(|e| e.at_ns)
 }
 
 fn fault_count(m: &Snapshot, kind: &str) -> Option<u64> {
@@ -113,11 +126,7 @@ fn link_flap(seed: u64) -> Outcome {
     esc.load_fault_plan(&plan).unwrap();
     esc.run_with_recovery(80);
     let rx = burst(&mut esc);
-    Outcome {
-        trace: esc.event_trace().to_vec(),
-        rx,
-        metrics: esc.metrics(),
-    }
+    Outcome::collect(&esc, rx)
 }
 
 /// The container hosting the chain's VNF dies; recovery re-maps the
@@ -136,11 +145,7 @@ fn vnf_crash(seed: u64) -> Outcome {
     esc.load_fault_plan(&plan).unwrap();
     esc.run_with_recovery(40);
     let rx = burst(&mut esc);
-    Outcome {
-        trace: esc.event_trace().to_vec(),
-        rx,
-        metrics: esc.metrics(),
-    }
+    Outcome::collect(&esc, rx)
 }
 
 /// The agent stalls across the deployment RPCs; the first attempt times
@@ -166,11 +171,7 @@ fn netconf_timeout(seed: u64) -> Outcome {
     esc.deploy(&fw_chain()).unwrap();
     esc.run_with_recovery(10);
     let rx = burst(&mut esc);
-    Outcome {
-        trace: esc.event_trace().to_vec(),
-        rx,
-        metrics: esc.metrics(),
-    }
+    Outcome::collect(&esc, rx)
 }
 
 /// Heavy loss on the primary link — above the degradation threshold, so
@@ -203,11 +204,7 @@ fn loss_spike(seed: u64) -> Outcome {
     esc.load_fault_plan(&plan).unwrap();
     esc.run_with_recovery(80);
     let rx = burst(&mut esc);
-    Outcome {
-        trace: esc.event_trace().to_vec(),
-        rx,
-        metrics: esc.metrics(),
-    }
+    Outcome::collect(&esc, rx)
 }
 
 // ---------------- assertions -------------------------------------------
@@ -224,12 +221,12 @@ fn scenario_link_flap_reroutes_and_converges() {
     assert_eq!(o.metrics.counter("pox.steering.resteers", &[]), Some(1));
     // Convergence bound: re-route + re-steer within 10 virtual ms of the
     // fault landing at t=+10 ms (plus the 5 ms build settle).
-    let at = recovered_at_ns(&o.trace).expect("recovery event logged");
+    let at = recovered_at_ns(&o.journal).expect("recovery event logged");
     assert!(at <= 25_000_000, "converged at {at} ns");
     let lat = o.metrics.histogram("recovery.latency_ns", &[]).unwrap();
     assert_eq!(lat.count, 1);
     assert!(lat.sum < 10_000_000, "recovery latency {} ns", lat.sum);
-    // Determinism: the same seed replays a byte-identical event trace.
+    // Determinism: the same seed replays a byte-identical journal.
     assert_eq!(o.trace, link_flap(101).trace);
     assert!(!o.trace.is_empty());
 }
@@ -245,7 +242,7 @@ fn scenario_vnf_crash_remaps_and_converges() {
     assert_eq!(o.metrics.counter("pox.steering.resteers", &[]), Some(1));
     // Re-map includes a fresh NETCONF deployment leg; allow 15 virtual ms
     // after the crash at t=+10 ms (plus the 5 ms build settle).
-    let at = recovered_at_ns(&o.trace).expect("recovery event logged");
+    let at = recovered_at_ns(&o.journal).expect("recovery event logged");
     assert!(at <= 30_000_000, "converged at {at} ns");
     assert_eq!(o.trace, vnf_crash(202).trace);
 }
@@ -272,7 +269,7 @@ fn scenario_loss_spike_reroutes_off_the_degraded_link() {
     assert_eq!(fault_count(&o.metrics, "loss_clear"), Some(1));
     assert_eq!(o.metrics.counter("escape.recoveries", &[]), Some(1));
     assert_eq!(o.metrics.counter("orch.reroutes", &[]), Some(1));
-    let at = recovered_at_ns(&o.trace).expect("recovery event logged");
+    let at = recovered_at_ns(&o.journal).expect("recovery event logged");
     assert!(at <= 25_000_000, "converged at {at} ns");
     assert_eq!(o.trace, loss_spike(404).trace);
 }
@@ -323,5 +320,9 @@ fn fault_plan_with_unknown_target_is_rejected_at_load_time() {
     assert_eq!(node, "c9");
     // Nothing was armed: time passes without any fault landing.
     esc.run_with_recovery(10);
-    assert!(esc.event_trace().iter().all(|l| !l.contains("fault ")));
+    assert_eq!(esc.journal().evicted(), 0);
+    assert!(esc.journal().entries().all(|e| !matches!(
+        e.kind,
+        JournalKind::FaultPlanArmed | JournalKind::FaultInjected
+    )));
 }

@@ -1,6 +1,6 @@
 //! Dataplane fast-path witnesses: the exact-match flow cache is an
 //! *invisible* optimisation. A full-stack run with the cache on must be
-//! observably identical — event trace, per-packet flight-recorder
+//! observably identical — event journal, per-packet flight-recorder
 //! journeys, SLA verdicts, delivery counts — to the same-seed run with
 //! the cache off (every lookup walking the priority table, the seed
 //! behaviour). Only the `openflow.cache_*` telemetry series may differ.
@@ -11,6 +11,7 @@
 //! cache gets invalidated and repopulated while traffic is in flight.
 
 use escape::env::Escape;
+use escape::{JournalEvent, JournalKind};
 use escape_netem::{FaultKind, FaultPlan};
 use escape_orch::GreedyFirstFit;
 use escape_pox::SteeringMode;
@@ -19,7 +20,9 @@ use escape_sg::{ResourceTopology, ServiceGraph};
 
 /// Everything observable about one run, for cross-run comparison.
 struct Outcome {
-    /// Virtual-timestamped fault/recovery event log.
+    /// The event journal, typed, for queries.
+    journal: Vec<JournalEvent>,
+    /// The same journal rendered line by line, for byte comparison.
     events: Vec<String>,
     /// Rendered per-packet journey timelines from the flight recorder.
     timelines: String,
@@ -75,8 +78,12 @@ fn plain_run(seed: u64, cache_on: bool) -> Outcome {
 
 fn collect(esc: Escape) -> Outcome {
     let m = esc.metrics();
+    // Nothing fell off the journal ring, so the comparisons cover the
+    // whole run.
+    assert_eq!(esc.journal().evicted(), 0, "journal overflowed");
     Outcome {
-        events: esc.event_trace().to_vec(),
+        journal: esc.journal().entries().cloned().collect(),
+        events: esc.event_trace(),
         timelines: esc.flight_record().timelines(),
         sla: format!("{:?}", esc.sla_verdicts()),
         rx: esc.sap_stats("sap1").unwrap().udp_rx,
@@ -196,7 +203,9 @@ fn resteer_under_load_is_cache_transparent() {
     let off = flap_run(31, false);
 
     assert!(
-        on.events.iter().any(|l| l.contains("recovered chain c1")),
+        on.journal
+            .iter()
+            .any(|e| e.kind == JournalKind::HealRecovered && e.detail.starts_with("chain c1 ")),
         "the flap must force a mid-stream resteer: {:?}",
         on.events
     );

@@ -9,6 +9,7 @@
 //! *and* across worker-thread counts.
 
 use escape::env::Escape;
+use escape::{JournalKind, MultiDomainEscape};
 use escape_domain::DomainSpec;
 use escape_orch::{GreedyFirstFit, MappingAlgorithm};
 use escape_pox::SteeringMode;
@@ -16,6 +17,25 @@ use escape_sg::{ResourceTopology, ServiceGraph};
 
 fn greedy() -> Box<dyn MappingAlgorithm> {
     Box::new(GreedyFirstFit)
+}
+
+/// Nothing fell off the coordinator's or any domain's journal ring, so
+/// journal lookups and trace comparisons cover the whole run.
+fn assert_nothing_evicted(md: &MultiDomainEscape) {
+    assert_eq!(md.journal().evicted(), 0, "coordinator journal overflowed");
+    for d in md.domains() {
+        let evicted = md.domain_escape(d).unwrap().journal().evicted();
+        assert_eq!(evicted, 0, "journal of {d} overflowed");
+    }
+}
+
+/// Whether the coordinator journal holds a `kind` entry whose detail
+/// starts with `prefix`.
+fn coordinator_journaled(md: &MultiDomainEscape, kind: JournalKind, prefix: &str) -> bool {
+    assert_nothing_evicted(md);
+    md.journal()
+        .entries()
+        .any(|e| e.kind == kind && e.detail.starts_with(prefix))
 }
 
 /// Three domains in a line:
@@ -58,8 +78,10 @@ fn spill_sg() -> ServiceGraph {
 
 const BURST: u64 = 20;
 
-/// One full run at the given worker count; returns the witnesses.
-fn run_linear3(workers: usize) -> (String, String, Vec<String>, u64) {
+/// One full run at the given worker count; returns the witnesses:
+/// embedding, merged flight trace, merged event trace, merged journal
+/// JSON lines and delivered frames.
+fn run_linear3(workers: usize) -> (String, String, Vec<String>, String, u64) {
     let (topo, spec) = linear3();
     let mut md =
         Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 42, workers).unwrap();
@@ -68,10 +90,12 @@ fn run_linear3(workers: usize) -> (String, String, Vec<String>, u64) {
     md.start_chain_udp("c1", 128, 200, BURST).unwrap();
     md.run_for_ms(60);
     let rx = md.sap_stats("sap2").unwrap().udp_rx;
+    assert_nothing_evicted(&md);
     (
         md.embedding_trace(),
         md.merged_flight_trace(),
         md.event_trace(),
+        md.journal_json_lines(),
         rx,
     )
 }
@@ -108,15 +132,17 @@ fn three_domain_chain_delivers_end_to_end() {
 
 #[test]
 fn determinism_across_runs_and_worker_counts() {
-    let (embed1, flight1, events1, rx1) = run_linear3(1);
+    let (embed1, flight1, events1, journal1, rx1) = run_linear3(1);
     assert_eq!(rx1, BURST);
     assert!(!flight1.is_empty(), "flight recorder captured journeys");
+    assert!(!events1.is_empty(), "journal captured the deploy");
     for workers in [1, 2, 4] {
-        let (embed, flight, events, rx) = run_linear3(workers);
+        let (embed, flight, events, journal, rx) = run_linear3(workers);
         assert_eq!(rx, BURST, "workers={workers}");
         assert_eq!(embed, embed1, "embedding differs at workers={workers}");
         assert_eq!(flight, flight1, "flight trace differs at workers={workers}");
         assert_eq!(events, events1, "event trace differs at workers={workers}");
+        assert_eq!(journal, journal1, "journal differs at workers={workers}");
     }
 }
 
@@ -206,10 +232,9 @@ fn gateway_failure_triggers_global_restitch() {
     md.fail_gateway(0).unwrap();
     assert_eq!(md.plan("c1").unwrap().domain_path, vec!["d0", "d2", "d3"]);
     assert!(
+        coordinator_journaled(&md, JournalKind::ChainRestitched, "chain c1 across"),
+        "re-stitch not visible in the coordinator journal: {:#?}",
         md.event_trace()
-            .iter()
-            .any(|l| l.contains("re-stitched across")),
-        "re-stitch not visible in the merged event trace"
     );
 
     // The re-stitched chain still carries traffic end to end.
@@ -336,9 +361,7 @@ fn coordinator_admission_rejects_at_hard_watermark() {
     };
     assert!(utilization >= hard_watermark);
     assert!(
-        md.event_trace()
-            .iter()
-            .any(|l| l.contains("admission: rejected")),
+        coordinator_journaled(&md, JournalKind::AdmissionRejected, "mean utilization"),
         "trace: {:#?}",
         md.event_trace()
     );

@@ -3,13 +3,23 @@
 
 use escape::container::VnfContainer;
 use escape::env::Escape;
-use escape::{DeployPhase, EscapeError};
+use escape::{DeployPhase, EscapeError, JournalKind};
 use escape_netconf::VnfInstrumentation;
 use escape_netem::LinkState;
 use escape_orch::{GreedyFirstFit, NearestNeighbor};
 use escape_pox::SteeringMode;
 use escape_sg::topo::builders;
 use escape_sg::ServiceGraph;
+
+/// Whether the journal holds a `kind` entry whose detail starts with
+/// `prefix`. Also checks that nothing was evicted, so the lookup saw the
+/// whole run.
+fn journaled(esc: &Escape, kind: JournalKind, prefix: &str) -> bool {
+    assert_eq!(esc.journal().evicted(), 0, "journal overflowed");
+    esc.journal()
+        .entries()
+        .any(|e| e.kind == kind && e.detail.starts_with(prefix))
+}
 
 fn sg() -> ServiceGraph {
     ServiceGraph::new()
@@ -173,9 +183,7 @@ fn remap_with_no_surviving_capacity_degrades_gracefully() {
     assert_eq!(m.counter("escape.recovery_failures", &[]), Some(1));
     assert_eq!(m.counter("escape.recoveries", &[]), Some(0));
     assert!(
-        esc.event_trace()
-            .iter()
-            .any(|l| l.contains("recovery of chain c1 failed")),
+        journaled(&esc, JournalKind::HealFailed, "chain c1:"),
         "trace: {:#?}",
         esc.event_trace()
     );
@@ -350,9 +358,7 @@ fn malformed_agent_reply_fails_deploy_with_typed_error() {
         Some(1)
     );
     assert!(
-        esc.event_trace()
-            .iter()
-            .any(|l| l.contains("malformed reply from c0")),
+        journaled(&esc, JournalKind::MalformedReply, "c0:"),
         "trace: {:#?}",
         esc.event_trace()
     );

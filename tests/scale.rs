@@ -17,7 +17,7 @@
 
 use escape::env::Escape;
 use escape::flight::Outcome;
-use escape::EscapeError;
+use escape::{EscapeError, JournalKind};
 use escape_netem::{FaultKind, FaultPlan};
 use escape_orch::NearestNeighbor;
 use escape_pox::SteeringMode;
@@ -40,6 +40,16 @@ fn demo_sg(sla: Option<Sla>) -> ServiceGraph {
     g
 }
 
+/// Whether the journal holds a `kind` entry whose detail contains
+/// `part`. Also checks that nothing was evicted, so the lookup saw the
+/// whole run.
+fn journaled(esc: &Escape, kind: JournalKind, part: &str) -> bool {
+    assert_eq!(esc.journal().evicted(), 0, "journal overflowed");
+    esc.journal()
+        .entries()
+        .any(|e| e.kind == kind && e.detail.contains(part))
+}
+
 fn build(seed: u64) -> Escape {
     let topo = builders::linear(3, 4.0);
     let mut esc = Escape::build(
@@ -58,8 +68,8 @@ fn build(seed: u64) -> Escape {
 // ---------------------------------------------------------------------
 
 /// Fixed scale/traffic script at one replica count; returns the journal
-/// and the event trace.
-fn scripted_run(seed: u64, replicas: u32) -> (String, Vec<String>) {
+/// as JSON lines, the event trace and the journal's entry kinds.
+fn scripted_run(seed: u64, replicas: u32) -> (String, Vec<String>, Vec<JournalKind>) {
     let mut esc = build(seed);
     esc.enable_flight_recorder(65_536);
     if replicas > 1 {
@@ -73,14 +83,16 @@ fn scripted_run(seed: u64, replicas: u32) -> (String, Vec<String>) {
         esc.scale_chain("demo", "fw", 1).unwrap();
     }
     esc.run_for_ms(10);
-    (esc.journal_json_lines(), esc.event_trace().to_vec())
+    assert_eq!(esc.journal().evicted(), 0, "journal overflowed");
+    let kinds = esc.journal().entries().map(|e| e.kind).collect();
+    (esc.journal_json_lines(), esc.event_trace(), kinds)
 }
 
 #[test]
 fn same_seed_scaling_traces_are_byte_identical_at_every_count() {
     for replicas in [1u32, 2, 4] {
-        let (journal_a, trace_a) = scripted_run(42, replicas);
-        let (journal_b, trace_b) = scripted_run(42, replicas);
+        let (journal_a, trace_a, kinds_a) = scripted_run(42, replicas);
+        let (journal_b, trace_b, _) = scripted_run(42, replicas);
         assert!(!journal_a.is_empty());
         assert_eq!(
             journal_a, journal_b,
@@ -91,9 +103,13 @@ fn same_seed_scaling_traces_are_byte_identical_at_every_count() {
             "same-seed event traces diverged at {replicas} replicas"
         );
         if replicas > 1 {
-            for want in ["scale-out", "scale-in", "migration-committed"] {
+            for want in [
+                JournalKind::ScaleOut,
+                JournalKind::ScaleIn,
+                JournalKind::MigrationCommitted,
+            ] {
                 assert!(
-                    journal_a.contains(&format!("\"{want}\"")),
+                    kinds_a.contains(&want),
                     "journal at {replicas} replicas missing {want}:\n{journal_a}"
                 );
             }
@@ -189,9 +205,11 @@ fn disruptive_fault_mid_migration_rolls_back_to_prescale_fingerprint() {
         "failed scale must leave the environment untouched"
     );
     assert_eq!(esc.replica_count("demo", "fw"), 1);
-    assert!(esc
-        .journal_json_lines()
-        .contains("\"migration-rolled-back\""));
+    assert!(journaled(
+        &esc,
+        JournalKind::MigrationRolledBack,
+        "chain demo vnf fw in "
+    ));
     let snap = esc.metrics();
     assert_eq!(snap.counter("escape.migration_rollbacks", &[]), Some(1));
 
@@ -291,10 +309,11 @@ fn autoscaler_scales_out_an_sla_violating_chain_within_bounded_ticks() {
     }
     let ticks = converged_at.expect("autoscaler never scaled the violating chain out");
     assert!(ticks <= 16, "convergence took {ticks} ticks");
-    let journal = esc.journal_json_lines();
     assert!(
-        journal.contains("(sla-violation)") || journal.contains("(queue-depth)"),
-        "scale-out must be attributed to a telemetry signal:\n{journal}"
+        journaled(&esc, JournalKind::ScaleOut, "(sla-violation)")
+            || journaled(&esc, JournalKind::ScaleOut, "(queue-depth)"),
+        "scale-out must be attributed to a telemetry signal:\n{}",
+        esc.journal_json_lines()
     );
     let auto = esc.autoscaler().expect("autoscaler enabled");
     assert!(auto.ticks() >= ticks as u64);
@@ -380,5 +399,5 @@ fn autoscaler_scales_back_in_when_pressure_clears() {
         shrank_at.is_some(),
         "idle replica set was never scaled back in"
     );
-    assert!(esc.journal_json_lines().contains("(low-utilization)"));
+    assert!(journaled(&esc, JournalKind::ScaleIn, "(low-utilization)"));
 }

@@ -16,7 +16,7 @@
 
 use escape::env::Escape;
 use escape::soak::{run_soak, SoakConfig};
-use escape::{AdmissionConfig, AdmissionVerdict, EscapeError};
+use escape::{AdmissionConfig, AdmissionVerdict, EscapeError, JournalKind};
 use escape_orch::GreedyFirstFit;
 use escape_pox::SteeringMode;
 use escape_sg::topo::builders;
@@ -176,10 +176,11 @@ fn queued_deploy_lands_once_capacity_frees_up() {
     assert_eq!(esc.pending_admissions(), 0);
     assert!(esc.deployed("b").is_some(), "queued chain deployed");
     assert!(esc.check_invariants().is_empty());
+    assert_eq!(esc.journal().evicted(), 0, "journal overflowed");
     assert!(
-        esc.event_trace()
-            .iter()
-            .any(|l| l.contains("admission: dequeued after")),
+        esc.journal()
+            .entries()
+            .any(|e| e.kind == JournalKind::AdmissionDequeued && e.detail.starts_with("after ")),
         "trace: {:#?}",
         esc.event_trace()
     );
